@@ -168,6 +168,18 @@ impl DeltaRun {
         })
     }
 
+    /// The run that undoes this one: inserts become removes and vice
+    /// versa. Applying the inverses of a run sequence in reverse order
+    /// walks the graph back through its epochs with every edge's toggle
+    /// history still alternating, so [`net_changes`] and [`materialize`]
+    /// accept them.
+    pub fn inverse(&self) -> DeltaRun {
+        DeltaRun {
+            inserts: self.removes.clone(),
+            removes: self.inserts.clone(),
+        }
+    }
+
     /// The sorted inserted edges.
     pub fn inserts(&self) -> &[(u32, u32)] {
         &self.inserts
@@ -320,17 +332,19 @@ impl<'a> OverlayView<'a> {
     }
 
     /// Materializes the overlay into an owned [`Graph`] — byte-identical
-    /// adjacency to what [`OverlayView::for_each_neighbor`] streams.
+    /// adjacency to what [`OverlayView::for_each_neighbor`] streams. One
+    /// linear pass: each merged list is already sorted, so it is written
+    /// straight into the CSR arrays, which [`Graph::from_csr`] validates
+    /// in `O(n + m)`.
     pub fn to_graph(&self) -> Graph {
-        let mut edges = Vec::with_capacity(self.m);
-        for u in 0..self.n() as u32 {
-            self.for_each_neighbor(u, |v| {
-                if u < v {
-                    edges.push((u, v));
-                }
-            });
+        let mut offsets = Vec::with_capacity(self.n() + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::with_capacity(2 * self.m);
+        for v in 0..self.n() as u32 {
+            self.for_each_neighbor(v, |w| neighbors.push(w));
+            offsets.push(neighbors.len());
         }
-        Graph::from_edges(self.n(), &edges).expect("overlay edges are validated")
+        Graph::from_csr(offsets, neighbors).expect("overlay edges are validated")
     }
 }
 

@@ -24,39 +24,65 @@ pub struct Graph {
 impl Graph {
     /// Builds a graph from per-node adjacency lists.
     ///
-    /// Lists are sorted internally; returns an error if any list contains a
+    /// Lists are sorted internally, flattened, and validated by
+    /// [`Graph::from_csr`]; returns an error if any list contains a
     /// self-loop, a duplicate, an out-of-range ID, or if the adjacency is not
     /// symmetric.
     pub fn from_adjacency(mut adj: Vec<Vec<NodeId>>) -> Result<Self, GraphError> {
-        let n = adj.len();
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(adj.len() + 1);
         offsets.push(0usize);
         let total: usize = adj.iter().map(Vec::len).sum();
         let mut neighbors = Vec::with_capacity(total);
-        for (v, list) in adj.iter().enumerate() {
+        for list in &mut adj {
+            list.sort_unstable();
+            neighbors.extend_from_slice(list);
+            offsets.push(neighbors.len());
+        }
+        Self::from_csr(offsets, neighbors)
+    }
+
+    /// Builds a graph from CSR arrays: node `v`'s neighbors are
+    /// `neighbors[offsets[v]..offsets[v + 1]]`.
+    ///
+    /// Every list must be strictly ascending (so duplicate-free), in range
+    /// and free of self-loops, and the adjacency must be symmetric;
+    /// otherwise the first violation, scanning nodes in order, is returned.
+    /// Validation is `O(n + m)`: symmetry holds iff the CSR equals its
+    /// transpose, and visiting sources in ascending order produces every
+    /// transposed list already sorted, so it is compared in place.
+    ///
+    /// # Panics
+    ///
+    /// If `offsets` is not a CSR offset array for `neighbors`: it must be
+    /// non-empty, start at 0, never decrease and end at `neighbors.len()`.
+    pub fn from_csr(offsets: Vec<usize>, neighbors: Vec<NodeId>) -> Result<Self, GraphError> {
+        assert!(
+            offsets.first() == Some(&0)
+                && offsets.last() == Some(&neighbors.len())
+                && offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must run from 0 to neighbors.len() without decreasing"
+        );
+        let g = Graph { offsets, neighbors };
+        let n = g.n();
+        for v in 0..n as NodeId {
+            let list = g.neighbors(v);
             for pair in list.windows(2) {
                 if pair[0] == pair[1] {
-                    return Err(GraphError::DuplicateEdge {
-                        u: v as NodeId,
-                        v: pair[0],
-                    });
+                    return Err(GraphError::DuplicateEdge { u: v, v: pair[0] });
+                }
+                if pair[0] > pair[1] {
+                    return Err(GraphError::Unsorted { node: v });
                 }
             }
             for &u in list {
                 if u as usize >= n {
                     return Err(GraphError::NodeOutOfRange { node: u, n });
                 }
-                if u as usize == v {
+                if u == v {
                     return Err(GraphError::SelfLoop { node: u });
                 }
-                neighbors.push(u);
             }
-            offsets.push(neighbors.len());
         }
-        let g = Graph { offsets, neighbors };
         g.check_symmetry()?;
         Ok(g)
     }
@@ -90,12 +116,34 @@ impl Graph {
         Self::from_adjacency(adj)
     }
 
+    /// Compares the CSR with its transpose in one pass. `next[w]` is the
+    /// position in `w`'s list where the next source listing `w` must
+    /// appear: sources arrive in ascending order and lists are sorted, so
+    /// in a symmetric graph every probe matches and every list ends fully
+    /// consumed. Requires lists already checked sorted and in range.
     fn check_symmetry(&self) -> Result<(), GraphError> {
-        for v in 0..self.n() as NodeId {
-            for &u in self.neighbors(v) {
-                if !self.has_edge(u, v) {
-                    return Err(GraphError::Asymmetric { u: v, v: u });
+        let mut next = self.offsets[..self.n()].to_vec();
+        for u in 0..self.n() as NodeId {
+            for &w in self.neighbors(u) {
+                let at = next[w as usize];
+                let listed = (at < self.offsets[w as usize + 1]).then(|| self.neighbors[at]);
+                match listed {
+                    Some(x) if x == u => next[w as usize] += 1,
+                    // `w`'s list passed `u` without listing it
+                    Some(x) if x > u => return Err(GraphError::Asymmetric { u, v: w }),
+                    // `w` lists `x < u`, but `x` never listed `w`
+                    Some(x) => return Err(GraphError::Asymmetric { u: w, v: x }),
+                    None => return Err(GraphError::Asymmetric { u, v: w }),
                 }
+            }
+        }
+        // an unconsumed entry names a neighbor that never listed it back
+        for (w, &at) in next.iter().enumerate() {
+            if at < self.offsets[w + 1] {
+                return Err(GraphError::Asymmetric {
+                    u: w as NodeId,
+                    v: self.neighbors[at],
+                });
             }
         }
         Ok(())
@@ -223,6 +271,58 @@ mod tests {
     fn rejects_asymmetric_adjacency() {
         let err = Graph::from_adjacency(vec![vec![1], vec![]]).unwrap_err();
         assert!(matches!(err, GraphError::Asymmetric { .. }));
+    }
+
+    #[test]
+    fn csr_rejects_each_malformed_shape() {
+        // 0-1, 0-2, 1-2 is the valid shape each case perturbs
+        let ok = Graph::from_csr(vec![0, 2, 4, 6], vec![1, 2, 0, 2, 0, 1]).unwrap();
+        assert_eq!(ok, Graph::from_edges(3, &[(0, 1), (0, 2), (1, 2)]).unwrap());
+        let cases: [(Vec<usize>, Vec<NodeId>, GraphError); 7] = [
+            (
+                vec![0, 2, 4, 6],
+                vec![2, 1, 0, 2, 0, 1],
+                GraphError::Unsorted { node: 0 },
+            ),
+            (
+                vec![0, 2, 4],
+                vec![1, 1, 0, 0],
+                GraphError::DuplicateEdge { u: 0, v: 1 },
+            ),
+            (
+                vec![0, 1, 2],
+                vec![5, 0],
+                GraphError::NodeOutOfRange { node: 5, n: 2 },
+            ),
+            (vec![0, 1, 1], vec![0], GraphError::SelfLoop { node: 0 }),
+            // 0 lists 1, 1 lists nobody
+            (
+                vec![0, 1, 1],
+                vec![1],
+                GraphError::Asymmetric { u: 0, v: 1 },
+            ),
+            // 1 lists 0, 0 lists nobody: found once every source is seen
+            (
+                vec![0, 0, 1],
+                vec![0],
+                GraphError::Asymmetric { u: 1, v: 0 },
+            ),
+            // 0 lists 2; 2 lists 1, which never lists 2
+            (
+                vec![0, 1, 1, 3],
+                vec![2, 0, 1],
+                GraphError::Asymmetric { u: 2, v: 1 },
+            ),
+        ];
+        for (offsets, neighbors, want) in cases {
+            assert_eq!(Graph::from_csr(offsets, neighbors).unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "offsets")]
+    fn csr_offsets_must_cover_neighbors() {
+        let _ = Graph::from_csr(vec![0, 1], vec![1, 0]);
     }
 
     #[test]

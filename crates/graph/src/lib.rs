@@ -61,6 +61,11 @@ pub enum GraphError {
         /// The number of nodes in the graph.
         n: usize,
     },
+    /// An adjacency list handed over in CSR form is not ascending.
+    Unsorted {
+        /// The node whose list is out of order.
+        node: NodeId,
+    },
     /// `u` lists `v` as a neighbor but not vice versa.
     Asymmetric {
         /// The node holding the dangling reference.
@@ -77,6 +82,9 @@ impl std::fmt::Display for GraphError {
             GraphError::DuplicateEdge { u, v } => write!(f, "duplicate edge ({u}, {v})"),
             GraphError::NodeOutOfRange { node, n } => {
                 write!(f, "node {node} out of range for graph of {n} nodes")
+            }
+            GraphError::Unsorted { node } => {
+                write!(f, "adjacency list of node {node} is not ascending")
             }
             GraphError::Asymmetric { u, v } => {
                 write!(f, "asymmetric adjacency: {u} lists {v} but not vice versa")

@@ -498,9 +498,10 @@ pub(crate) fn classify(shared: &Shared, req: Request) -> Dispatch {
             c.explain.fetch_add(1, Ordering::Relaxed);
             Dispatch::Express(req)
         }
-        // Edits are appends (validate + delta-run push); the expensive
-        // follow-up work — compaction — runs on the store's off lane, so
-        // the express lane stays express.
+        // Edits validate their batch and materialize the next epoch in one
+        // linear pass outside the store lock, then commit an append under
+        // it; the expensive follow-up work — compaction — runs on the
+        // store's off lane, so the express lane stays express.
         Request::AddEdges { .. } => {
             c.add_edges.fetch_add(1, Ordering::Relaxed);
             Dispatch::Express(req)

@@ -19,7 +19,8 @@
 //! epoch by one. Epoch `e` is, by definition, the registered base graph
 //! with `history[..e]` applied; the store keeps the latest epoch eagerly
 //! materialized and rebuilds historical epochs on demand from the nearest
-//! retained *segment* (a materialized snapshot). Compaction
+//! retained *segment* (a materialized snapshot) below them, or by undoing
+//! runs from the latest epoch when that is fewer runs away. Compaction
 //! ([`GraphStore::compact_now`], or the background lane started by
 //! [`GraphStore::start_compactor`]) adds a segment at the current epoch,
 //! re-runs the autotuner on the compacted graph (in
@@ -32,16 +33,35 @@
 //! reader needs. Runs are retained for the graph's lifetime so any
 //! `(epoch_a, epoch_b)` delta window stays answerable.
 //!
-//! Preparation is deliberately performed *under the store lock*: it makes
-//! the cache single-flight (two concurrent requests for the same key
-//! build once), at the price of serializing distinct-key preparations.
+//! # The store lock
+//!
+//! One mutex guards the registry, the cache index, pins and counters, and
+//! it covers only lookups and commits: every `O(n + m)` build runs outside
+//! it, against `Arc` snapshots taken under it.
+//!
+//! * **Edits are optimistic.** An edit validates its batch and
+//!   materializes the next epoch against a snapshot of the latest graph,
+//!   then commits only if the latest graph and the registration
+//!   generation are still the ones it read; otherwise it redoes the work
+//!   against the new latest. Epochs stay dense and each batch is
+//!   validated against exactly the epoch it extends.
+//! * **Preparation is single-flight.** A miss puts a once-cell into the
+//!   key's cache slot under the lock, then materializes the epoch and
+//!   builds the artifacts outside it. Concurrent requests for the same
+//!   key wait on that cell, so a key is built once, while distinct keys
+//!   build in parallel and never block edits. The entry is charged to the
+//!   gauge when the build commits, and only if the slot is still the one
+//!   it filled: a graph replaced meanwhile is never cached.
+//! * **Historical reads, delta windows and plans** snapshot the segment
+//!   and run `Arc`s (or the graph) under the lock and merge, fold or
+//!   autotune after releasing it.
 //!
 //! [`RunBudget::with_gauge`]: trilist_core::RunBudget::with_gauge
 
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use trilist_core::{
     materialize, net_changes, CompressedCsr, Counter, DeltaError, DeltaRun, EdgeList, HashOracle,
     KernelPlan, Kernels, ListingPlan, MemoryGauge, Recorder,
@@ -414,7 +434,12 @@ pub struct StoreStats {
 }
 
 struct CacheSlot {
-    entry: Arc<Prepared>,
+    /// Filled once, outside the lock, by the request that builds the
+    /// entry; concurrent requests for the key wait on it.
+    cell: Arc<OnceLock<Arc<Prepared>>>,
+    /// Gauge charge, `None` until the build commits. Only committed slots
+    /// are eviction candidates.
+    bytes: Option<u64>,
     last_used: u64,
 }
 
@@ -648,15 +673,19 @@ impl GraphStore {
 
     /// Materializes epoch `epoch` of `name` (`None` = latest): the
     /// latest epoch is returned from the eager copy, historical epochs
-    /// are rebuilt from the nearest retained segment.
+    /// are rebuilt outside the lock from the nearest stored graph (a
+    /// retained segment below, or the latest graph above).
     pub fn graph_at(&self, name: &str, epoch: Option<u64>) -> Result<Arc<Graph>, StoreError> {
-        let inner = lock(&self.inner);
-        let entry = inner
-            .graphs
-            .get(name)
-            .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
-        let epoch = resolve_epoch(name, entry, epoch)?;
-        Ok(materialize_at(entry, epoch))
+        let source = {
+            let inner = lock(&self.inner);
+            let entry = inner
+                .graphs
+                .get(name)
+                .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
+            let epoch = resolve_epoch(name, entry, epoch)?;
+            EpochSource::of(entry, epoch)
+        };
+        Ok(source.graph())
     }
 
     /// Applies a validated insert batch, creating a new epoch. Edges are
@@ -683,40 +712,81 @@ impl GraphStore {
         edges: &[(u32, u32)],
         insert: bool,
     ) -> Result<EditReceipt, StoreError> {
+        loop {
+            let staged = self.stage_edit(name, edges, insert)?;
+            if let Some(receipt) = self.commit_edit(name, staged)? {
+                let compacting =
+                    receipt.delta_ratio > self.cfg.compact_ratio && self.nudge_compactor(name);
+                return Ok(EditReceipt {
+                    compacting,
+                    ..receipt
+                });
+            }
+        }
+    }
+
+    /// Validates a batch against a snapshot of the latest epoch and
+    /// materializes the epoch it creates, outside the lock.
+    fn stage_edit(
+        &self,
+        name: &str,
+        edges: &[(u32, u32)],
+        insert: bool,
+    ) -> Result<StagedEdit, StoreError> {
+        let (base, generation) = {
+            let inner = lock(&self.inner);
+            let entry = inner
+                .graphs
+                .get(name)
+                .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
+            (Arc::clone(&entry.current), entry.generation)
+        };
+        let present = |u: u32, v: u32| base.has_edge(u, v);
+        let run = if insert {
+            DeltaRun::insert_batch(base.n(), edges, present)?
+        } else {
+            DeltaRun::remove_batch(base.n(), edges, present)?
+        };
+        let next = Arc::new(materialize(&base, std::iter::once(&run)));
+        Ok(StagedEdit {
+            base,
+            generation,
+            run,
+            next,
+        })
+    }
+
+    /// Appends a staged edit as the new latest epoch, or returns `None`
+    /// when another edit or a re-registration committed since the
+    /// snapshot was taken (the caller stages again).
+    fn commit_edit(
+        &self,
+        name: &str,
+        staged: StagedEdit,
+    ) -> Result<Option<EditReceipt>, StoreError> {
         let mut inner = lock(&self.inner);
         let entry = inner
             .graphs
             .get_mut(name)
             .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
-        let n = entry.current.n();
-        let present = |u: u32, v: u32| entry.current.has_edge(u, v);
-        let run = if insert {
-            DeltaRun::insert_batch(n, edges, present)?
-        } else {
-            DeltaRun::remove_batch(n, edges, present)?
-        };
-        let next = Arc::new(materialize(&entry.current, std::iter::once(&run)));
-        let applied = run.edits() as u64;
-        let run = Arc::new(run);
+        if entry.generation != staged.generation || !Arc::ptr_eq(&entry.current, &staged.base) {
+            return Ok(None);
+        }
+        let applied = staged.run.edits() as u64;
+        let run = Arc::new(staged.run);
         self.gauge.add(run.bytes());
         entry.delta_bytes += run.bytes();
         entry.history.push(run);
-        entry.current = Arc::clone(&next);
+        entry.current = Arc::clone(&staged.next);
         entry.edits_since_compact += applied;
-        let receipt = EditReceipt {
+        Ok(Some(EditReceipt {
             epoch: entry.latest_epoch(),
             applied,
-            m: next.m() as u64,
+            m: staged.next.m() as u64,
             delta_edges: entry.edits_since_compact,
             delta_ratio: entry.delta_ratio(),
             compacting: false,
-        };
-        drop(inner);
-        let compacting = receipt.delta_ratio > self.cfg.compact_ratio && self.nudge_compactor(name);
-        Ok(EditReceipt {
-            compacting,
-            ..receipt
-        })
+        }))
     }
 
     /// Queues `name` on the background compaction lane, if one is
@@ -917,11 +987,9 @@ impl GraphStore {
                 latest: to,
             });
         }
-        Ok(net_changes(
-            entry.history[from as usize..to as usize]
-                .iter()
-                .map(|r| &**r),
-        ))
+        let runs = entry.history[from as usize..to as usize].to_vec();
+        drop(inner);
+        Ok(net_changes(runs.iter().map(|r| &**r)))
     }
 
     /// Whether `(name, ordering)` is already in the prepared cache at
@@ -934,11 +1002,15 @@ impl GraphStore {
         let Some(entry) = inner.graphs.get(name) else {
             return false;
         };
-        inner.prepared.contains_key(&(
+        let key = (
             name.to_string(),
             ordering.into().name(),
             entry.latest_epoch(),
-        ))
+        );
+        inner
+            .prepared
+            .get(&key)
+            .is_some_and(|slot| slot.cell.get().is_some())
     }
 
     /// The graph's [`PlanSummary`] — computed on first use (in
@@ -948,26 +1020,39 @@ impl GraphStore {
     /// Computed from the latest materialization; compaction refreshes
     /// it.
     pub fn listing_plan(&self, name: &str) -> Result<Arc<PlanSummary>, StoreError> {
-        let mut inner = lock(&self.inner);
-        let graph = inner
-            .graphs
-            .get(name)
-            .map(|e| Arc::clone(&e.current))
-            .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
-        Ok(self.plan_locked(&mut inner, name, &graph))
+        let (graph, generation) = {
+            let inner = lock(&self.inner);
+            let entry = inner
+                .graphs
+                .get(name)
+                .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
+            (Arc::clone(&entry.current), entry.generation)
+        };
+        Ok(self.plan_for(name, generation, &graph))
     }
 
-    /// The cached-or-computed plan record for `name`, under the lock.
-    fn plan_locked(
-        &self,
-        inner: &mut StoreInner,
-        name: &str,
-        graph: &Arc<Graph>,
-    ) -> Arc<PlanSummary> {
+    /// The cached plan record for `name`, or one computed from `graph`
+    /// outside the lock and cached unless a racing request cached one
+    /// first (that one wins) or the graph was replaced meanwhile (the
+    /// record is returned but not cached).
+    fn plan_for(&self, name: &str, generation: u64, graph: &Graph) -> Arc<PlanSummary> {
+        if let Some(plan) = lock(&self.inner).plans.get(name) {
+            return Arc::clone(plan);
+        }
+        let summary = self.compute_plan(name, graph);
+        let mut inner = lock(&self.inner);
         if let Some(plan) = inner.plans.get(name) {
             return Arc::clone(plan);
         }
-        let summary = match self.cfg.plan {
+        if inner.graphs.get(name).map(|e| e.generation) != Some(generation) {
+            return Arc::new(summary);
+        }
+        self.cache_plan(&mut inner, name, summary)
+    }
+
+    /// Computes `graph`'s plan record under the store's [`PlanMode`].
+    fn compute_plan(&self, name: &str, graph: &Graph) -> PlanSummary {
+        match self.cfg.plan {
             PlanMode::Fixed(plan) => PlanSummary::fixed(plan),
             PlanMode::Calibrate { rounds } => {
                 // mode-faithful: the calibrated kernel plan of the
@@ -992,8 +1077,7 @@ impl GraphStore {
                 self.gauge.release(scratch);
                 summary
             }
-        };
-        self.cache_plan(inner, name, summary)
+        }
     }
 
     /// Stores a freshly computed plan record: recorder counters, gauge
@@ -1028,7 +1112,9 @@ impl GraphStore {
 
     /// The prepared entry for `(name, ordering, epoch)` (`None` =
     /// latest): from cache on a hit (second return `true`), built — and
-    /// cached, possibly evicting LRU entries — on a miss. The third
+    /// cached, possibly evicting LRU entries — on a miss. A request that
+    /// finds the key's build in flight waits for it and counts as a hit,
+    /// so each key is built once. The third
     /// return is the resolved epoch. In [`PlanMode::Autotune`] the
     /// graph's cached [`PlanSummary`] (computed here on the first
     /// prepare) supplies the kernel policy and layout for every entry of
@@ -1042,47 +1128,115 @@ impl GraphStore {
         ordering: impl Into<OrderingKind>,
         epoch: Option<u64>,
     ) -> Result<(Arc<Prepared>, bool, u64), StoreError> {
-        let ordering = ordering.into();
-        let mut inner = lock(&self.inner);
+        match self.lookup(name, ordering.into(), epoch)? {
+            Lookup::Ready(entry, epoch) => Ok((entry, true, epoch)),
+            Lookup::Build(ticket) => Ok(self.fill(ticket)),
+        }
+    }
+
+    /// The locked half of [`GraphStore::prepare_at`]: a committed entry,
+    /// or the slot to fill (or wait on) plus the snapshot to build from.
+    fn lookup(
+        &self,
+        name: &str,
+        ordering: OrderingKind,
+        epoch: Option<u64>,
+    ) -> Result<Lookup, StoreError> {
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
         let entry = inner
             .graphs
             .get(name)
             .ok_or_else(|| StoreError::UnknownGraph(name.to_string()))?;
         let epoch = resolve_epoch(name, entry, epoch)?;
-        let graph = materialize_at(entry, epoch);
         let key = (name.to_string(), ordering.name(), epoch);
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(slot) = inner.prepared.get_mut(&key) {
-            slot.last_used = tick;
-            let entry = Arc::clone(&slot.entry);
-            inner.hits += 1;
-            return Ok((entry, true, epoch));
-        }
-        inner.misses += 1;
-        // resolve the mode once: in Autotune the graph-level plan is
-        // computed (and cached, and counted) here, then pinned for the
-        // entry build so the standalone builder reproduces it exactly
-        let mode = match self.cfg.plan {
-            PlanMode::Autotune { .. } => {
-                let summary = self.plan_locked(&mut inner, name, &graph);
-                PlanMode::Fixed(summary.plan.kernel_plan())
+        let (cell, hit) = match inner.prepared.get_mut(&key) {
+            Some(slot) => {
+                slot.last_used = tick;
+                inner.hits += 1;
+                if let Some(ready) = slot.cell.get() {
+                    return Ok(Lookup::Ready(Arc::clone(ready), epoch));
+                }
+                // in flight: wait on the cell outside the lock
+                (Arc::clone(&slot.cell), true)
             }
-            other => other,
+            None => {
+                inner.misses += 1;
+                let cell = Arc::new(OnceLock::new());
+                inner.prepared.insert(
+                    key.clone(),
+                    CacheSlot {
+                        cell: Arc::clone(&cell),
+                        bytes: None,
+                        last_used: tick,
+                    },
+                );
+                (cell, false)
+            }
         };
-        let seed = prepare_seed_at(self.cfg.prepare_seed, name, ordering.name(), epoch);
-        let entry = Arc::new(prepare_graph_with(&graph, ordering, seed, mode));
+        Ok(Lookup::Build(PrepareTicket {
+            key,
+            ordering,
+            cell,
+            hit,
+            generation: entry.generation,
+            source: EpochSource::of(entry, epoch),
+        }))
+    }
+
+    /// The unlocked half of [`GraphStore::prepare_at`]: fills the slot's
+    /// cell — or waits for the request already filling it — then commits
+    /// the charge if this call built the entry.
+    fn fill(&self, ticket: PrepareTicket) -> (Arc<Prepared>, bool, u64) {
+        let (name, _, epoch) = &ticket.key;
+        let mut built = false;
+        let entry = ticket.cell.get_or_init(|| {
+            built = true;
+            let graph = ticket.source.graph();
+            // resolve the mode once: in Autotune the graph-level plan is
+            // computed (and cached, and counted) here, then pinned for the
+            // entry build so the standalone builder reproduces it exactly
+            let mode = match self.cfg.plan {
+                PlanMode::Autotune { .. } => {
+                    let summary = self.plan_for(name, ticket.generation, &graph);
+                    PlanMode::Fixed(summary.plan.kernel_plan())
+                }
+                other => other,
+            };
+            let seed = prepare_seed_at(self.cfg.prepare_seed, name, ticket.ordering.name(), *epoch);
+            Arc::new(prepare_graph_with(&graph, ticket.ordering, seed, mode))
+        });
+        let entry = Arc::clone(entry);
+        if built {
+            self.commit_prepared(&ticket, &entry);
+        }
+        (entry, ticket.hit, *epoch)
+    }
+
+    /// Charges a freshly built entry to the gauge and makes it evictable —
+    /// only if its slot is still the one the build filled and the graph
+    /// was not replaced meanwhile. Otherwise the entry serves its callers
+    /// uncached.
+    fn commit_prepared(&self, ticket: &PrepareTicket, entry: &Prepared) {
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
+        let current = inner
+            .graphs
+            .get(&ticket.key.0)
+            .is_some_and(|g| g.generation == ticket.generation);
+        let Some(slot) = inner
+            .prepared
+            .get_mut(&ticket.key)
+            .filter(|slot| current && Arc::ptr_eq(&slot.cell, &ticket.cell))
+        else {
+            return;
+        };
+        slot.bytes = Some(entry.bytes);
         self.gauge.add(entry.bytes);
         inner.cached_bytes += entry.bytes;
-        inner.prepared.insert(
-            key,
-            CacheSlot {
-                entry: Arc::clone(&entry),
-                last_used: tick,
-            },
-        );
-        self.shrink(&mut inner);
-        Ok((entry, false, epoch))
+        self.shrink(inner);
     }
 
     /// Evicts LRU entries until both the entry-count and byte bounds
@@ -1099,13 +1253,16 @@ impl GraphStore {
             if !(over_count || over_bytes) || inner.prepared.is_empty() {
                 return;
             }
+            // slots still being built are not evictable: their builders
+            // commit them, or find them gone after a re-registration
             let Some(lru) = inner
                 .prepared
                 .iter()
+                .filter(|(_, slot)| slot.bytes.is_some())
                 .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(key, _)| key.clone())
             else {
-                return; // unreachable: the cache was checked non-empty
+                return;
             };
             self.evict_key(inner, &lru);
             inner.evictions += 1;
@@ -1121,7 +1278,7 @@ impl GraphStore {
         let victim = inner
             .prepared
             .iter()
-            .filter(|((graph, _, _), _)| graph != keep_graph)
+            .filter(|((graph, _, _), slot)| graph != keep_graph && slot.bytes.is_some())
             .min_by_key(|(_, slot)| slot.last_used)
             .map(|(key, _)| key.clone());
         match victim {
@@ -1136,9 +1293,9 @@ impl GraphStore {
     }
 
     fn evict_key(&self, inner: &mut StoreInner, key: &(String, &'static str, u64)) {
-        if let Some(slot) = inner.prepared.remove(key) {
-            inner.cached_bytes = inner.cached_bytes.saturating_sub(slot.entry.bytes);
-            self.gauge.release(slot.entry.bytes);
+        if let Some(bytes) = inner.prepared.remove(key).and_then(|slot| slot.bytes) {
+            inner.cached_bytes = inner.cached_bytes.saturating_sub(bytes);
+            self.gauge.release(bytes);
         }
     }
 
@@ -1192,27 +1349,78 @@ fn resolve_epoch(name: &str, entry: &GraphEntry, epoch: Option<u64>) -> Result<u
     }
 }
 
-/// Materializes `epoch` from the entry's nearest retained segment. The
-/// result is deterministic for a given epoch regardless of which segment
-/// serves it — segments are themselves exact materializations — which is
-/// the structural half of the pinned-epoch immutability invariant.
-fn materialize_at(entry: &GraphEntry, epoch: u64) -> Arc<Graph> {
-    if epoch == entry.latest_epoch() {
-        return Arc::clone(&entry.current);
+/// What one epoch materializes from, snapshotted under the lock so the
+/// merge runs outside it: the nearest stored graph — a retained segment
+/// at or below the epoch, or the latest graph above it — plus the runs
+/// between the two (none when the epoch is stored as is). The result is
+/// deterministic for a given epoch regardless of which graph serves it —
+/// segments and the latest graph are themselves exact materializations —
+/// which is the structural half of the pinned-epoch immutability
+/// invariant.
+struct EpochSource {
+    base: Arc<Graph>,
+    runs: Vec<Arc<DeltaRun>>,
+    /// `base` is the latest graph and `runs` lead from the epoch up to
+    /// it, so they are undone newest first.
+    backward: bool,
+}
+
+impl EpochSource {
+    fn of(entry: &GraphEntry, epoch: u64) -> EpochSource {
+        let latest = entry.latest_epoch();
+        let seg = entry
+            .segments
+            .iter()
+            .filter(|s| s.base_epoch <= epoch)
+            .max_by_key(|s| s.base_epoch)
+            .expect("segment 0 always present");
+        let backward = latest - epoch < epoch - seg.base_epoch;
+        let (base, runs) = if backward {
+            (&entry.current, epoch..latest)
+        } else {
+            (&seg.graph, seg.base_epoch..epoch)
+        };
+        EpochSource {
+            base: Arc::clone(base),
+            runs: entry.history[runs.start as usize..runs.end as usize].to_vec(),
+            backward,
+        }
     }
-    let seg = entry
-        .segments
-        .iter()
-        .filter(|s| s.base_epoch <= epoch)
-        .max_by_key(|s| s.base_epoch)
-        .expect("segment 0 always present");
-    if seg.base_epoch == epoch {
-        return Arc::clone(&seg.graph);
+
+    fn graph(&self) -> Arc<Graph> {
+        if self.runs.is_empty() {
+            return Arc::clone(&self.base);
+        }
+        if self.backward {
+            let undo: Vec<DeltaRun> = self.runs.iter().rev().map(|r| r.inverse()).collect();
+            return Arc::new(materialize(&self.base, undo.iter()));
+        }
+        Arc::new(materialize(&self.base, self.runs.iter().map(|r| &**r)))
     }
-    let runs = entry.history[seg.base_epoch as usize..epoch as usize]
-        .iter()
-        .map(|r| &**r);
-    Arc::new(materialize(&seg.graph, runs))
+}
+
+/// An edit validated and materialized against `base`, awaiting commit.
+struct StagedEdit {
+    base: Arc<Graph>,
+    generation: u64,
+    run: DeltaRun,
+    next: Arc<Graph>,
+}
+
+/// A prepared-cache slot a request fills, or waits on, outside the lock.
+struct PrepareTicket {
+    key: (String, &'static str, u64),
+    ordering: OrderingKind,
+    cell: Arc<OnceLock<Arc<Prepared>>>,
+    /// Whether the slot already existed (counted as a hit).
+    hit: bool,
+    generation: u64,
+    source: EpochSource,
+}
+
+enum Lookup {
+    Ready(Arc<Prepared>, u64),
+    Build(PrepareTicket),
 }
 
 #[cfg(test)]
@@ -1529,6 +1737,175 @@ mod tests {
         assert_eq!(s.gauge().used(), 0, "delta + segment charges released");
         let st = s.stats();
         assert_eq!((st.delta_runs, st.retained_segments), (0, 0));
+    }
+
+    /// Eight disjoint 4-edge batches absent from `triangle_fan(64)`.
+    fn disjoint_batches() -> Vec<Vec<(u32, u32)>> {
+        (0..8u32)
+            .map(|t| (0..4).map(|i| (1 + 4 * t + i, 4 + 4 * t + i)).collect())
+            .collect()
+    }
+
+    fn resting_gauge_balances(s: &GraphStore) {
+        let st = s.stats();
+        let resting = st.bytes + st.plan_bytes + st.delta_bytes + st.segment_bytes;
+        assert_eq!(
+            s.gauge().used(),
+            resting,
+            "gauge == cache + plan + delta + segment"
+        );
+    }
+
+    #[test]
+    fn concurrent_edits_commit_dense_epochs() {
+        let s = store(8);
+        s.register("g", 64, &triangle_fan(64)).unwrap();
+        let base: HashSet<(u32, u32)> = s.graph("g").unwrap().edges().collect();
+        let batches = disjoint_batches();
+        let start = std::sync::Barrier::new(batches.len());
+        let receipts: Vec<EditReceipt> = std::thread::scope(|scope| {
+            let workers: Vec<_> = batches
+                .iter()
+                .map(|batch| {
+                    let (s, start) = (&s, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        s.add_edges("g", batch).unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut epochs: Vec<u64> = receipts.iter().map(|r| r.epoch).collect();
+        epochs.sort_unstable();
+        assert_eq!(epochs, (1..=8).collect::<Vec<u64>>(), "epochs are dense");
+        for (batch, r) in batches.iter().zip(&receipts) {
+            // each batch extended exactly the epoch before its own
+            assert_eq!(r.applied, 4);
+            assert_eq!(r.m, (base.len() as u64) + 4 * r.epoch);
+            assert_eq!(r.delta_edges, 4 * r.epoch);
+            let mut at = s
+                .graph_at("g", Some(r.epoch))
+                .unwrap()
+                .edges()
+                .collect::<HashSet<_>>();
+            assert!(batch.iter().all(|e| at.contains(e)));
+            let before = s.graph_at("g", Some(r.epoch - 1)).unwrap();
+            assert!(batch.iter().all(|&(u, v)| !before.has_edge(u, v)));
+            at.retain(|e| !batch.contains(e));
+            assert_eq!(at, before.edges().collect::<HashSet<_>>());
+        }
+        let mut want = base.clone();
+        want.extend(batches.iter().flatten().copied());
+        let got: HashSet<(u32, u32)> = s.graph("g").unwrap().edges().collect();
+        assert_eq!(got, want, "latest == base ∪ batches");
+        // prepare a few epochs and compact: the rest state reconciles
+        for epoch in [0, 3, 8] {
+            s.prepare_at("g", OrderFamily::Descending, Some(epoch))
+                .unwrap();
+        }
+        s.compact_now("g").unwrap();
+        resting_gauge_balances(&s);
+    }
+
+    #[test]
+    fn stale_staged_edit_is_restaged_against_the_new_latest() {
+        let s = store(8);
+        s.register("g", 64, &triangle_fan(64)).unwrap();
+        let staged = s.stage_edit("g", &[(1, 5)], true).unwrap();
+        s.add_edges("g", &[(5, 1)]).unwrap();
+        assert!(
+            s.commit_edit("g", staged).unwrap().is_none(),
+            "a snapshot older than the latest epoch never commits"
+        );
+        assert_eq!(s.latest_epoch("g").unwrap(), 1);
+        // restaged against epoch 1, the same batch is now invalid
+        assert!(matches!(
+            s.add_edges("g", &[(1, 5)]),
+            Err(StoreError::Delta(DeltaError::AlreadyPresent(1, 5)))
+        ));
+        resting_gauge_balances(&s);
+    }
+
+    #[test]
+    fn concurrent_prepares_of_one_key_build_once() {
+        let s = store(8);
+        s.register("g", 64, &triangle_fan(64)).unwrap();
+        s.add_edges("g", &disjoint_batches()[0]).unwrap();
+        // the first request's slot is in flight before any other arrives
+        let Lookup::Build(ticket) = s
+            .lookup("g", OrderFamily::Descending.into(), Some(0))
+            .unwrap()
+        else {
+            panic!("first lookup misses");
+        };
+        const K: usize = 6;
+        let start = std::sync::Barrier::new(K + 1);
+        let (first, others) = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..K)
+                .map(|_| {
+                    let (s, start) = (&s, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        s.prepare_at("g", OrderFamily::Descending, Some(0)).unwrap()
+                    })
+                })
+                .collect();
+            start.wait();
+            let first = s.fill(ticket);
+            let others: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            (first, others)
+        });
+        assert!(!first.1);
+        for (entry, hit, epoch) in &others {
+            assert!(
+                Arc::ptr_eq(entry, &first.0),
+                "every caller shares one build"
+            );
+            assert!(*hit);
+            assert_eq!(*epoch, 0);
+        }
+        let st = s.stats();
+        assert_eq!((st.misses, st.hits, st.entries), (1, K as u64, 1));
+        assert_eq!(st.bytes, first.0.bytes, "charged once");
+        resting_gauge_balances(&s);
+    }
+
+    #[test]
+    fn register_racing_a_miss_caches_nothing_stale() {
+        let s = GraphStore::new(
+            StoreConfig {
+                plan: PlanMode::Autotune { rounds: 0 },
+                ..StoreConfig::default()
+            },
+            MemoryGauge::new(),
+        );
+        s.register("g", 60, &triangle_fan(60)).unwrap();
+        let Lookup::Build(stale) = s.lookup("g", OrderFamily::Descending.into(), None).unwrap()
+        else {
+            panic!("first lookup misses");
+        };
+        s.register("g", 20, &triangle_fan(20)).unwrap();
+        // the replacement's request for the same key opens its own slot
+        let Lookup::Build(fresh) = s.lookup("g", OrderFamily::Descending.into(), None).unwrap()
+        else {
+            panic!("the replacement misses");
+        };
+        // the stale build completes for its own caller, against the old
+        // graph, and touches neither the new slot nor the plan cache
+        let (old, hit, _) = s.fill(stale);
+        assert!(!hit);
+        assert_eq!(old.dg.n(), 60);
+        let st = s.stats();
+        assert_eq!((st.entries, st.bytes, st.plans), (1, 0, 0));
+        assert_eq!(s.gauge().used(), 0, "no old-generation charge");
+        let (new, hit, _) = s.fill(fresh);
+        assert!(!hit);
+        assert_eq!(new.dg.n(), 20);
+        let st = s.stats();
+        assert_eq!((st.entries, st.bytes), (1, new.bytes));
+        assert_eq!(s.stats().plans, 1);
+        resting_gauge_balances(&s);
     }
 
     #[test]

@@ -133,6 +133,64 @@ proptest! {
         prop_assert_eq!(&mat_b, &mirror_b);
     }
 
+    // The linear materialize (merged lists streamed straight into CSR)
+    // equals the edge-list path it replaced — `Graph::from_edges` of the
+    // overlay's edge set — byte for byte after every run of a random
+    // insert/remove sequence, including edges toggled more than once, and
+    // so does walking back from the latest graph with inverted runs.
+    #[test]
+    fn materialize_equals_from_edges_of_the_overlay(
+        n in 2u32..40,
+        density in 0.0f64..0.6,
+        graph_seed in 0u64..1 << 48,
+        edit_seed in 0u64..1 << 48,
+        runs in 1usize..10,
+    ) {
+        let base = Graph::from_edges(n as usize, &gnp_edges(n, density, graph_seed)).unwrap();
+        let mut present: BTreeSet<(u32, u32)> = base.edges().collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(edit_seed);
+        let mut history = Vec::new();
+        let mut epochs = vec![base.clone()];
+        for _ in 0..runs {
+            let insert = rng.gen_bool(0.5);
+            let mut pool: Vec<(u32, u32)> = (0..n)
+                .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+                .filter(|e| present.contains(e) != insert)
+                .collect();
+            if pool.is_empty() {
+                continue;
+            }
+            pool.shuffle(&mut rng);
+            pool.truncate(rng.gen_range(1..=pool.len().min(8)));
+            let member = |u: u32, v: u32| present.contains(&(u.min(v), u.max(v)));
+            let run = if insert {
+                DeltaRun::insert_batch(n as usize, &pool, member)
+            } else {
+                DeltaRun::remove_batch(n as usize, &pool, member)
+            }
+            .unwrap();
+            for e in &pool {
+                if insert {
+                    present.insert(*e);
+                } else {
+                    present.remove(e);
+                }
+            }
+            history.push(run);
+            let edges: Vec<(u32, u32)> = present.iter().copied().collect();
+            let want = Graph::from_edges(n as usize, &edges).unwrap();
+            prop_assert_eq!(materialize(&base, history.iter()), want.clone());
+            epochs.push(want);
+        }
+        // Undoing the runs newest first walks the latest graph back
+        // through every earlier epoch.
+        let latest = epochs.last().expect("epoch 0 is the base");
+        for (k, want) in epochs.iter().enumerate() {
+            let undo: Vec<DeltaRun> = history[k..].iter().rev().map(DeltaRun::inverse).collect();
+            prop_assert_eq!(&materialize(latest, undo.iter()), want);
+        }
+    }
+
     // Pin refcounts read exactly the live guards; once every guard (and
     // the store's own caches) is dropped, the resting gauge equals the
     // store's own accounting — nothing leaks.
